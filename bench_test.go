@@ -200,6 +200,24 @@ func BenchmarkConv3x3ForwardFMA(b *testing.B) {
 	benchConv3x3(b)
 }
 
+// BenchmarkConv3x3Backward measures the backward pass BN-Opt runs: a
+// frozen weight (no dW) on the same shape as BenchmarkConv3x3Forward, so
+// the default dispatch takes the packed input-gradient path and the
+// ratio to the forward benchmark is the layer's backward/forward cost.
+func BenchmarkConv3x3Backward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	conv := nn.NewConv2d("c", rng, 32, 32, 3, 1, 1, 1)
+	conv.Weight.Frozen = true
+	x := tensor.New(8, 32, 32, 32)
+	x.Randn(rng, 1)
+	grad := conv.Forward(x, false)
+	grad.Randn(rng, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Backward(grad)
+	}
+}
+
 // BenchmarkConv1x1Forward covers the pointwise convs (shortcuts,
 // MobileNet expand/project), the other shape the packed path serves.
 func BenchmarkConv1x1Forward(b *testing.B) {

@@ -238,11 +238,17 @@ func newBNOpt(m *models.Model, cfg Config) *bnOptAdapter {
 	return a
 }
 
+// arm freezes every parameter except BN γ/β, so backpropagation computes
+// only the input gradients and the γ/β gradients Adam consumes.
 func (a *bnOptAdapter) arm() {
+	for _, p := range a.m.Params() {
+		p.Frozen = true
+	}
 	var params []*nn.Param
 	for _, bn := range a.bns {
 		bn.UseBatchStats = true
 		bn.SourcePrior = 0 // BN-Opt backpropagates through pure batch stats
+		bn.Gamma.Frozen, bn.Beta.Frozen = false, false
 		params = append(params, bn.Gamma, bn.Beta)
 	}
 	a.optim = opt.NewAdam(params, a.cfg.LR)
@@ -255,8 +261,7 @@ func (a *bnOptAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 	for step := 0; step < a.cfg.Steps; step++ {
 		logits = a.m.Forward(x, false) // batch statistics via UseBatchStats
 		_, grad := nn.MeanEntropy(logits)
-		a.optim.ZeroGrad()
-		nn.ZeroGrads(a.m.Net) // conv/linear grads are discarded, as in TENT
+		a.optim.ZeroGrad() // every other param is frozen and gets no grad
 		a.m.Backward(grad)
 		a.optim.Step()
 	}

@@ -9,6 +9,7 @@ import (
 	"edgetta/internal/data"
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
+	"edgetta/internal/parallel"
 	"edgetta/internal/tensor"
 	"edgetta/internal/train"
 )
@@ -129,6 +130,63 @@ func TestBNOptUpdatesOnlyBNParams(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("BN-Opt did not update any gamma")
+	}
+}
+
+// TestBNOptFreezesAllButBNAffine: BN-Opt arms every parameter except BN
+// γ/β as frozen, so backpropagation leaves their gradients untouched and
+// Process needs no whole-net gradient reset.
+func TestBNOptFreezesAllButBNAffine(t *testing.T) {
+	m := tinyModel(5)
+	a, _ := New(BNOpt, m, Config{})
+	affine := map[*nn.Param]bool{}
+	for _, bn := range m.BatchNorms() {
+		affine[bn.Gamma], affine[bn.Beta] = true, true
+	}
+	x := tensor.New(8, 3, 32, 32)
+	x.Uniform(rand.New(rand.NewSource(3)), 0, 1)
+	a.Process(x)
+	a.Reset() // re-arms; the bits must survive it
+	a.Process(x)
+	for _, p := range m.Params() {
+		if p.Frozen == affine[p] {
+			t.Fatalf("%s: frozen=%v", p.Name, p.Frozen)
+		}
+		if p.Frozen {
+			for _, g := range p.Grad {
+				if g != 0 {
+					t.Fatalf("%s: frozen param accumulated a gradient", p.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestBNOptDeterministicAcrossWorkerCounts: BN-Opt's backward runs its
+// frozen stride-1 convs on the packed input-gradient path, whose order is
+// fixed by the kernel, so adapted logits stay bit-identical at 1 and 8
+// workers across consecutive adaptation steps.
+func TestBNOptDeterministicAcrossWorkerCounts(t *testing.T) {
+	run := func(workers int) [][]float32 {
+		parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(0)
+		a, _ := New(BNOpt, tinyModel(11), Config{})
+		rng := rand.New(rand.NewSource(13))
+		var out [][]float32
+		for i := 0; i < 3; i++ {
+			x := tensor.New(8, 3, 32, 32)
+			x.Uniform(rng, 0, 1)
+			out = append(out, append([]float32(nil), a.Process(x).Data...))
+		}
+		return out
+	}
+	one, eight := run(1), run(8)
+	for i := range one {
+		for j := range one[i] {
+			if math.Float32bits(one[i][j]) != math.Float32bits(eight[i][j]) {
+				t.Fatalf("batch %d: BN-Opt logits differ between 1 and 8 workers", i)
+			}
+		}
 	}
 }
 

@@ -24,12 +24,13 @@ func Clone(l Layer) Layer {
 
 // clone returns a Param with copied data and a fresh zero gradient. The
 // mutation version is preserved so caches keyed on it (packed conv
-// weights) stay valid for the clone.
+// weights) stay valid for the clone, and so is the frozen bit.
 func (p *Param) clone() *Param {
 	return &Param{
 		Name:    p.Name,
 		Data:    append([]float32(nil), p.Data...),
 		Grad:    make([]float32, len(p.Grad)),
+		Frozen:  p.Frozen,
 		version: p.version,
 	}
 }
@@ -70,7 +71,7 @@ func (f *Flatten) CloneLayer() Layer { return &Flatten{name: f.name} }
 // is never touched. None of the study's models include Dropout.
 func (d *Dropout) CloneLayer() Layer { return &Dropout{name: d.name, P: d.P, rng: d.rng} }
 
-// CloneLayer implements Cloner. The immutable packed-weight cache is
+// CloneLayer implements Cloner. The immutable packed-weight caches are
 // shared with the clone (its version still matches the cloned Param), so
 // serving replicas of an unadapted model pay for one packed copy instead
 // of one per replica; the first weight update on either side repacks
@@ -78,7 +79,7 @@ func (d *Dropout) CloneLayer() Layer { return &Dropout{name: d.name, P: d.P, rng
 func (c *Conv2d) CloneLayer() Layer {
 	return &Conv2d{name: c.name, InC: c.InC, OutC: c.OutC,
 		K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups,
-		Weight: c.Weight.clone(), packed: c.packed}
+		Weight: c.Weight.clone(), packed: c.packed, packedT: c.packedT}
 }
 
 // CloneLayer implements Cloner. All statistics buffers — running, source —

@@ -48,13 +48,31 @@ type Conv2d struct {
 	lastSpec             Spec
 	outH, outW, inH, inW int
 
-	// Packed-path caches: packed is the weight tensor in kernel order,
-	// valid while packedVersion matches Weight.Version() (clones share it
-	// until either side's weights change); xoff is the offset table for
-	// the last-seen input geometry.
-	packed       *tensor.PackedWeights
-	xoff         []int32
-	xoffH, xoffW int
+	// Packed-path caches: packed is the weight tensor in kernel order and
+	// packedT its flipped, channel-transposed twin for the input gradient,
+	// each valid while its Version matches Weight.Version() (clones share
+	// them until either side's weights change); fwOff and bwOff are the
+	// offset tables for the last-seen forward input and backward output-
+	// gradient geometries.
+	packed, packedT *tensor.PackedWeights
+	fwOff, bwOff    offsetCache
+}
+
+// offsetCache holds a packed-kernel offset table (tensor.ConvOffsets) for
+// the last-seen unpadded geometry h×w.
+type offsetCache struct {
+	off  []int32
+	h, w int
+}
+
+// get returns the offset table for a c-channel h×w input padded by pad
+// and a k×k kernel, rebuilding it when the geometry changed.
+func (o *offsetCache) get(c, h, w, pad, k int) []int32 {
+	if o.off == nil || o.h != h || o.w != w {
+		o.off = tensor.ConvOffsets(c, h+2*pad, w+2*pad, k)
+		o.h, o.w = h, w
+	}
+	return o.off
 }
 
 // NewConv2d constructs a convolution layer with He-normal initialization.
@@ -114,7 +132,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(n, c.OutC, outH, outW)
 
 	if tensor.PackedEnabled() && c.PackedEligible() {
-		c.forwardPacked(x, y, n, h, w, outH, outW)
+		c.runPacked(y, x, c.packedWeights, &c.fwOff, c.Pad, false)
 	} else {
 		c.forwardIm2Col(x, y, n, h, w, outH, outW)
 	}
@@ -155,83 +173,137 @@ func (c *Conv2d) forwardIm2Col(x, y *tensor.Tensor, n, h, w, outH, outW int) {
 	})
 }
 
-// forwardPacked is the direct path: pack the image once (padding baked
-// in), run the NC8HW8 microkernel over it in place, unpack the result.
-// The packed weights are cached across calls; the offset table is cached
-// per input geometry. When the profiler is active, layout conversion time
-// is credited to KindPack (contained within this layer's KindConv
-// interval), so pack overhead stays attributable next to compute.
-func (c *Conv2d) forwardPacked(x, y *tensor.Tensor, n, h, w, outH, outW int) {
+// runPacked is the direct path, shared by the forward pass and the
+// packed input gradient: pack each image of src (padding pad baked in),
+// run the NC8HW8 microkernel over it in place with the weights weights()
+// returns and the cached offset table, and unpack the result into dst.
+// Both directions convolve with c.K and c.Stride (the input gradient runs
+// only for stride 1). When the profiler is active, layout conversion time
+// is credited to KindPack in the same direction (contained within this
+// layer's KindConv interval), so pack overhead stays attributable next to
+// compute.
+func (c *Conv2d) runPacked(dst, src *tensor.Tensor, weights func() *tensor.PackedWeights, offs *offsetCache, pad int, backward bool) {
 	prof := profActive()
 	var packNanos atomic.Int64
 	t0 := time.Time{}
 	if prof {
 		t0 = time.Now()
 	}
-	pw := c.packedWeights()
-	hp, wpad := h+2*c.Pad, w+2*c.Pad
-	if c.xoff == nil || c.xoffH != h || c.xoffW != w {
-		c.xoff = tensor.ConvOffsets(c.InC, hp, wpad, c.K)
-		c.xoffH, c.xoffW = h, w
-	}
+	n, inC, h, w := src.Dim(0), src.Dim(1), src.Dim(2), src.Dim(3)
+	outC, outH, outW := dst.Dim(1), dst.Dim(2), dst.Dim(3)
+	pw := weights()
+	hp, wpad := h+2*pad, w+2*pad
+	off := offs.get(inC, h, w, pad, c.K)
 	if prof {
 		packNanos.Add(int64(time.Since(t0)))
 	}
-	xoff := c.xoff
-	cols := outH * outW
-	xpLen := tensor.PackedImageLen(c.InC, h, w, c.Pad)
-	ypLen := tensor.PackedImageLen(c.OutC, outH, outW, 0)
+	inLen, outLen := inC*h*w, outC*outH*outW
+	spLen := tensor.PackedImageLen(inC, h, w, pad)
+	dpLen := tensor.PackedImageLen(outC, outH, outW, 0)
 	parallel.ForGrain(n, 1, func(lo, hi int) {
-		xp := tensor.GetScratch(xpLen)
-		defer tensor.PutScratch(xp)
-		yp := tensor.GetScratch(ypLen)
-		defer tensor.PutScratch(yp)
+		sp := tensor.GetScratch(spLen)
+		defer tensor.PutScratch(sp)
+		dp := tensor.GetScratch(dpLen)
+		defer tensor.PutScratch(dp)
 		for img := lo; img < hi; img++ {
-			xImg := x.Data[img*c.InC*h*w : (img+1)*c.InC*h*w]
-			yImg := y.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
 			var tp time.Time
 			if prof {
 				tp = time.Now()
 			}
-			tensor.PackImage(xp, xImg, c.InC, h, w, c.Pad)
+			tensor.PackImage(sp, src.Data[img*inLen:(img+1)*inLen], inC, h, w, pad)
 			if prof {
 				packNanos.Add(int64(time.Since(tp)))
 			}
-			tensor.ConvPackedForward(yp, xp, pw, xoff, outH, outW, hp, wpad, c.Stride)
+			tensor.ConvPackedForward(dp, sp, pw, off, outH, outW, hp, wpad, c.Stride)
 			if prof {
 				tp = time.Now()
 			}
-			tensor.UnpackImage(yImg, yp, c.OutC, outH, outW)
+			tensor.UnpackImage(dst.Data[img*outLen:(img+1)*outLen], dp, outC, outH, outW)
 			if prof {
 				packNanos.Add(int64(time.Since(tp)))
 			}
 		}
 	})
 	if prof {
-		profAdd(KindPack, false, time.Duration(packNanos.Load()).Seconds())
+		profAdd(KindPack, backward, time.Duration(packNanos.Load()).Seconds())
 	}
 }
 
-// Backward implements Layer: accumulates dWeight and returns dInput.
-// The lowering is recomputed rather than cached, trading FLOPs for the
-// memory the paper shows is the binding constraint on edge devices — and
-// it is recomputed in strips of bwStripRows rows, so the transient
-// footprint per worker is two small strip buffers instead of two full
-// column matrices. Strip results are bit-identical to the full
-// materialization: each strip is the same lowering rows fed to the same
-// matmul kernels, and the column-to-image scatter runs in ascending row
-// order across strips.
+// packedWeightsT returns the cached input-gradient weights: W with every
+// K×K tap spatially flipped and the channel axes swapped ([InC, OutC*K*K]),
+// packed for the direct kernel. Like packedWeights it repacks only when
+// Weight.Version() moved.
+func (c *Conv2d) packedWeightsT() *tensor.PackedWeights {
+	if p := c.packedT; p != nil && p.Version == c.Weight.Version() {
+		return p
+	}
+	kk := c.K * c.K
+	wt := make([]float32, len(c.Weight.Data))
+	for oc := 0; oc < c.OutC; oc++ {
+		for ic := 0; ic < c.InC; ic++ {
+			src := c.Weight.Data[(oc*c.InC+ic)*kk:][:kk]
+			dst := wt[(ic*c.OutC+oc)*kk:][:kk]
+			for i, v := range src {
+				dst[kk-1-i] = v // tap (ky,kx) → (K-1-ky, K-1-kx)
+			}
+		}
+	}
+	p := tensor.PackConvWeights(wt, c.InC, c.OutC, c.K)
+	p.Version = c.Weight.Version()
+	c.packedT = p
+	return p
+}
+
+// Backward implements Layer: returns dInput and, unless Weight is frozen,
+// accumulates dWeight into Weight.Grad. A frozen weight on the forward
+// pass's packed dispatch (stride 1, ungrouped) takes the direct path;
+// every other case runs the strip lowering of backwardStrips, which is
+// also the oracle the packed path is tested against. A trainable weight
+// keeps the strip path for dX as well, so training gradients are the same
+// bits on either forward dispatch.
 func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.input
 	if x == nil {
 		panic("nn: " + c.name + ": Backward before Forward")
 	}
 	t0 := profStart()
+	dx := tensor.New(x.Shape()...)
+	// Pad < K keeps the gradient's padding K-1-Pad non-negative; every
+	// padded conv in the study's models satisfies it.
+	if c.Weight.Frozen && tensor.PackedEnabled() && c.PackedEligible() && c.Pad < c.K {
+		// dX is the stride-1 convolution of dY, padded by K-1-Pad, with
+		// the flipped, channel-transposed weights. Each dX element sums
+		// over (oc, ky, kx) as one ascending run, a different association
+		// than the strip path's (over oc inside each tap, then over taps),
+		// so the two agree to rounding rather than bitwise; the kernel's
+		// order is fixed, so the result is bit-identical for every worker
+		// count.
+		c.runPacked(dx, grad, c.packedWeightsT, &c.bwOff, c.K-1-c.Pad, true)
+	} else {
+		c.backwardStrips(grad, dx)
+	}
+	profEnd(KindConv, c.name, true, t0)
+	return dx
+}
+
+// backwardStrips writes dX into dx and, unless Weight is frozen,
+// accumulates dWeight. The lowering is recomputed rather than cached,
+// trading FLOPs for the memory the paper shows is the binding constraint
+// on edge devices — and it is recomputed in strips of bwStripRows rows, so
+// the transient footprint per worker is a few small strip buffers instead
+// of two full column matrices. Strip results are bit-identical to the full
+// materialization: each strip is the same lowering rows fed to the same
+// matmul kernels, and the column-to-image scatter runs in ascending row
+// order across strips. A frozen weight skips the input lowering and the
+// whole dW computation; dX is unchanged bit for bit, since it never reads
+// either.
+func (c *Conv2d) backwardStrips(grad, dx *tensor.Tensor) {
+	x := c.input
 	n, h, w := x.Dim(0), c.inH, c.inW
 	inCg, outCg := c.InC/c.Groups, c.OutC/c.Groups
 	rows := inCg * c.K * c.K
 	cols := c.outH * c.outW
-	dx := tensor.New(x.Shape()...)
+	wantDW := !c.Weight.Frozen
 
 	// The weight gradient sums contributions from every image, and float
 	// addition is not associative, so the reduction must not depend on how
@@ -247,8 +319,7 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		groups = n
 	}
 	if groups == 0 {
-		profEnd(KindConv, c.name, true, t0)
-		return dx
+		return
 	}
 	span := (n + groups - 1) / groups
 	groups = (n + span - 1) / span // drop groups the ceiling left empty
@@ -261,11 +332,14 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// scope whose defers bracket both the loop and the merge — the scratch-
 	// pool protocol ttalint enforces: every GetScratch owns a defer in its
 	// own scope.
-	partials := make([][]float32, groups)
-	for gi := range partials {
-		dw := tensor.GetScratch(len(c.Weight.Data))
-		defer tensor.PutScratch(dw)
-		partials[gi] = dw
+	var partials [][]float32
+	if wantDW {
+		partials = make([][]float32, groups)
+		for gi := range partials {
+			dw := tensor.GetScratch(len(c.Weight.Data))
+			defer tensor.PutScratch(dw)
+			partials[gi] = dw
+		}
 	}
 	parallel.For(groups, func(gi int) {
 		lo, hi := gi*span, (gi+1)*span
@@ -280,8 +354,11 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		defer tensor.PutScratch(wStrip)
 		dwStrip := tensor.GetScratch(outCg * strip)
 		defer tensor.PutScratch(dwStrip)
-		dw := partials[gi]
-		clear(dw)
+		var dw []float32
+		if wantDW {
+			dw = partials[gi]
+			clear(dw)
+		}
 		for img := lo; img < hi; img++ {
 			xImg := x.Data[img*c.InC*h*w : (img+1)*c.InC*h*w]
 			gImg := grad.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
@@ -291,22 +368,24 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				dxg := dxImg[g*inCg*h*w : (g+1)*inCg*h*w]
 				gSlice := gImg[g*outCg*cols : (g+1)*outCg*cols]
 				wg := c.Weight.Data[g*outCg*rows : (g+1)*outCg*rows]
-				dwg := dw[g*outCg*rows : (g+1)*outCg*rows]
 				for r0 := 0; r0 < rows; r0 += strip {
 					r1 := r0 + strip
 					if r1 > rows {
 						r1 = rows
 					}
 					sr := r1 - r0
-					tensor.Im2ColRows(colBuf, xg, inCg, h, w, c.K, c.Stride, c.Pad, r0, r1)
-					// dW_g strip: each element is the same dY·colᵀ dot
-					// product as the full matmul, added once to the
-					// running partial.
-					tensor.MatMulTransBInto(dwStrip, gSlice, colBuf, outCg, cols, sr, false)
-					for oc := 0; oc < outCg; oc++ {
-						dst := dwg[oc*rows+r0 : oc*rows+r1]
-						for j, v := range dwStrip[oc*sr : (oc+1)*sr] {
-							dst[j] += v
+					if wantDW {
+						// dW_g strip: each element is the same dY·colᵀ
+						// dot product as the full matmul, added once to
+						// the running partial.
+						tensor.Im2ColRows(colBuf, xg, inCg, h, w, c.K, c.Stride, c.Pad, r0, r1)
+						tensor.MatMulTransBInto(dwStrip, gSlice, colBuf, outCg, cols, sr, false)
+						dwg := dw[g*outCg*rows : (g+1)*outCg*rows]
+						for oc := 0; oc < outCg; oc++ {
+							dst := dwg[oc*rows+r0 : oc*rows+r1]
+							for j, v := range dwStrip[oc*sr : (oc+1)*sr] {
+								dst[j] += v
+							}
 						}
 					}
 					// dCols strip = W_gᵀ·dY_g over a column slice of W
@@ -326,6 +405,4 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			c.Weight.Grad[i] += v
 		}
 	}
-	profEnd(KindConv, c.name, true, t0)
-	return dx
 }

@@ -25,36 +25,49 @@ func float32BitsEqual(a, b []float32) bool {
 // the layer level: a convolution's forward output, input gradient, and
 // weight gradient must be bit-identical whether the pool runs one worker
 // or eight. The weight gradient is the sharp edge — it is a reduction over
-// images, which the old code merged in chunk-completion order.
+// images, which the old code merged in chunk-completion order. The grouped
+// conv takes the strip backward; the ungrouped stride-1 conv takes it with
+// a trainable weight and the packed input-gradient path with a frozen one.
 func TestConvDeterministicAcrossWorkerCounts(t *testing.T) {
 	type result struct{ y, dx, dw []float32 }
-	run := func(workers int) result {
-		parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(0)
-		rng := rand.New(rand.NewSource(23))
-		conv := NewConv2d("c", rng, 4, 6, 3, 1, 1, 2)
-		x := tensor.New(8, 4, 9, 9)
-		x.Randn(rng, 1)
-		y := conv.Forward(x, true)
-		grad := tensor.New(y.Shape()...)
-		grad.Randn(rng, 1)
-		dx := conv.Backward(grad)
-		return result{
-			y:  append([]float32(nil), y.Data...),
-			dx: append([]float32(nil), dx.Data...),
-			dw: append([]float32(nil), conv.Weight.Grad...),
+	for _, tc := range []struct {
+		name                    string
+		in, out, k, pad, groups int
+		frozen                  bool
+	}{
+		{"grouped", 4, 6, 3, 1, 2, false},
+		{"ungrouped", 12, 10, 3, 1, 1, false},
+		{"ungrouped-frozen", 12, 10, 3, 1, 1, true},
+	} {
+		run := func(workers int) result {
+			parallel.SetWorkers(workers)
+			defer parallel.SetWorkers(0)
+			rng := rand.New(rand.NewSource(23))
+			conv := NewConv2d("c", rng, tc.in, tc.out, tc.k, 1, tc.pad, tc.groups)
+			conv.Weight.Frozen = tc.frozen
+			x := tensor.New(8, tc.in, 9, 9)
+			x.Randn(rng, 1)
+			y := conv.Forward(x, true)
+			grad := tensor.New(y.Shape()...)
+			grad.Randn(rng, 1)
+			dx := conv.Backward(grad)
+			return result{
+				y:  append([]float32(nil), y.Data...),
+				dx: append([]float32(nil), dx.Data...),
+				dw: append([]float32(nil), conv.Weight.Grad...),
+			}
 		}
-	}
-	one := run(1)
-	eight := run(8)
-	if !float32BitsEqual(one.y, eight.y) {
-		t.Error("conv forward differs between 1 and 8 workers")
-	}
-	if !float32BitsEqual(one.dx, eight.dx) {
-		t.Error("conv input gradient differs between 1 and 8 workers")
-	}
-	if !float32BitsEqual(one.dw, eight.dw) {
-		t.Error("conv weight gradient differs between 1 and 8 workers")
+		one := run(1)
+		eight := run(8)
+		if !float32BitsEqual(one.y, eight.y) {
+			t.Errorf("%s: conv forward differs between 1 and 8 workers", tc.name)
+		}
+		if !float32BitsEqual(one.dx, eight.dx) {
+			t.Errorf("%s: conv input gradient differs between 1 and 8 workers", tc.name)
+		}
+		if !float32BitsEqual(one.dw, eight.dw) {
+			t.Errorf("%s: conv weight gradient differs between 1 and 8 workers", tc.name)
+		}
 	}
 }
 

@@ -129,11 +129,16 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t0 := profStart()
 	defer profEnd(KindLinear, l.name, true, t0)
 	n := grad.Dim(0)
-	// dW += dYᵀ · X ; dB += column sums of dY ; dX = dY · W
-	tensor.MatMulTransAInto(l.Weight.Grad, grad.Data, l.input.Data, n, l.Out, l.In, true)
-	for i := 0; i < n; i++ {
-		for j := 0; j < l.Out; j++ {
-			l.Bias.Grad[j] += grad.Data[i*l.Out+j]
+	// dW += dYᵀ · X ; dB += column sums of dY ; dX = dY · W. Frozen
+	// parameters get no gradient.
+	if !l.Weight.Frozen {
+		tensor.MatMulTransAInto(l.Weight.Grad, grad.Data, l.input.Data, n, l.Out, l.In, true)
+	}
+	if !l.Bias.Frozen {
+		for i := 0; i < n; i++ {
+			for j := 0; j < l.Out; j++ {
+				l.Bias.Grad[j] += grad.Data[i*l.Out+j]
+			}
 		}
 	}
 	dx := tensor.New(n, l.In)

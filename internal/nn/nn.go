@@ -24,6 +24,11 @@ type Param struct {
 	Data []float32
 	Grad []float32
 
+	// Frozen marks a parameter nothing will update: layers skip computing
+	// its gradient and leave Grad untouched. The zero value is trainable;
+	// only adapters set it (BN-Opt freezes everything but BN γ/β).
+	Frozen bool
+
 	// version counts in-place mutations of Data (see MarkUpdated).
 	version uint64
 }
@@ -92,10 +97,13 @@ func CollectParams(l Layer) []*Param {
 	return out
 }
 
-// ZeroGrads clears every gradient in the tree rooted at l.
+// ZeroGrads clears every trainable gradient in the tree rooted at l;
+// frozen parameters accumulate no gradient, so there is nothing to clear.
 func ZeroGrads(l Layer) {
 	for _, p := range CollectParams(l) {
-		p.ZeroGrad()
+		if !p.Frozen {
+			p.ZeroGrad()
+		}
 	}
 }
 

@@ -61,12 +61,15 @@ func TestMeasureBreakdownBNOptBackwardDominates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratio := r.ConvBwOverFw()
-	// The paper measures 2.2–2.5x on its Arm/Volta targets. On this
-	// host the ratio is larger since the packed direct path accelerated
-	// conv forward ~2x while backward still runs the (strip-mined)
-	// im2col kernels — the structural claim is simply that backward
-	// costs clearly more than forward in total.
-	if ratio < 1.0 || ratio > 12.0 {
+	t.Logf("conv bw/fw ratio %.2f", ratio)
+	// The paper measures 2.2–2.5x on its Arm/Volta targets. BN-Opt freezes
+	// the conv weights, so its conv backward computes only the input
+	// gradient — the forward's MACs again, on the same packed kernel for
+	// stride-1 convs — and costs about what the forward costs. The
+	// paper's ratio is the ceiling: above it, backward is doing work it
+	// throws away (the weight gradients cost 5x here before they were
+	// skipped).
+	if ratio < 0.5 || ratio > 2.5 {
 		t.Fatalf("conv bw/fw ratio %.2f implausible", ratio)
 	}
 	bwTotal := r.Totals.BwSeconds[nn.KindConv] + r.Totals.BwSeconds[nn.KindBN]

@@ -2,8 +2,9 @@
 # scripts/bench.sh — record a benchmark baseline for this repository.
 #
 # Runs the tier-1 real-execution benchmarks at a pinned worker count and
-# writes the best-of-N results as JSON (default BENCH_10.json), so each PR
-# can leave a comparable perf datapoint next to the code it changed. The
+# writes the best-of-N results as JSON to the named file (BENCH_<n>.json by
+# convention), so each change can leave a comparable perf datapoint next
+# to the code it changed. The
 # traced WRN forward records the telemetry overhead next to its untraced
 # twin; their ratio is the enabled-tracing cost on a real workload. The
 # serving curve (ttaload's throughput-vs-stream-count sweep through the
@@ -11,7 +12,7 @@
 # run's full report — including the fault-to-first-served recovery-latency
 # p50/p95 — under "serve_chaos".
 #
-# Usage: scripts/bench.sh [out.json]
+# Usage: scripts/bench.sh out.json
 #   EDGETTA_WORKERS  pool width to pin (default 1 — the 1-core dev box)
 #   BENCH_COUNT      repetitions per benchmark; the minimum is kept (default 3)
 #   BENCH_TIME       go test -benchtime value (default 5x)
@@ -21,11 +22,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_10.json}"
+OUT="${1:?usage: scripts/bench.sh out.json}"
 WORKERS="${EDGETTA_WORKERS:-1}"
 COUNT="${BENCH_COUNT:-3}"
 TIME="${BENCH_TIME:-5x}"
-PATTERN='^(BenchmarkConv3x3Forward|BenchmarkConv3x3ForwardIm2Col|BenchmarkConv3x3ForwardFMA|BenchmarkConv1x1Forward|BenchmarkMatMul256|BenchmarkFullScaleWRNForward|BenchmarkFullScaleWRNForwardTraced|BenchmarkInferenceRepro|BenchmarkBNNormRepro|BenchmarkBNOptRepro|BenchmarkScenarioStream)$'
+PATTERN='^(BenchmarkConv3x3Forward|BenchmarkConv3x3ForwardIm2Col|BenchmarkConv3x3ForwardFMA|BenchmarkConv3x3Backward|BenchmarkConv1x1Forward|BenchmarkMatMul256|BenchmarkFullScaleWRNForward|BenchmarkFullScaleWRNForwardTraced|BenchmarkInferenceRepro|BenchmarkBNNormRepro|BenchmarkBNOptRepro|BenchmarkScenarioStream)$'
 
 CURVE="${SERVE_CURVE:-1,2,4,8}"
 CURVE_SAMPLES="${SERVE_SAMPLES:-48}"
