@@ -79,18 +79,3 @@ func (a *bnOptAdapter) RestoreState(s AdapterState) {
 	st.snap.restore(a.bns)
 	a.optim.RestoreState(st.adam)
 }
-
-// CaptureState implements Stateful for the streamed driver, which mutates
-// the same BatchNorm state as BN-Norm (via running-statistics updates).
-func (a *StreamedBNNorm) CaptureState() AdapterState {
-	return &bnState{snap: snapshotBN(a.bns)}
-}
-
-// RestoreState implements Stateful.
-func (a *StreamedBNNorm) RestoreState(s AdapterState) {
-	st, ok := s.(*bnState)
-	if !ok {
-		panic(fmt.Sprintf("core: streamed BN-Norm cannot restore %T", s))
-	}
-	st.snap.restore(a.bns)
-}

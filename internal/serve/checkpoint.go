@@ -244,9 +244,7 @@ func (g *group) openSession(name string) (*Stream, bool, error) {
 	}
 	g.streams[st.id] = st
 	g.names[name] = st
-	if g.met != nil {
-		g.met.openStreams.Set(int64(len(g.streams)))
-	}
+	g.met.openStreams.Set(int64(len(g.streams)))
 	return &Stream{g: g, st: st}, state != nil, nil
 }
 

@@ -211,16 +211,9 @@ func poisonState(s core.AdapterState) core.AdapterState {
 // below) with ErrReplicaFault, record the fault for health reporting and
 // recovery-latency tracking, and start a background respawn.
 func (g *group) quarantine(r *replica, reqs []*request, reason string) {
-	now := time.Now()
 	g.mu.Lock()
-	g.dropReplicaLocked(r)
 	g.active--
-	g.faults++
-	g.quarantinedIDs = append(g.quarantinedIDs, r.id)
-	if len(g.quarantinedIDs) > 32 {
-		g.quarantinedIDs = g.quarantinedIDs[len(g.quarantinedIDs)-32:]
-	}
-	g.lastFaultAt = now
+	g.faultLocked(r)
 	ra := g.retryAfterLocked(len(g.pending) + 1)
 	err := errReplicaFault(g.key, r.id, reason, ra)
 
@@ -243,19 +236,7 @@ func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 	for _, q := range victims {
 		q.st.pending--
 	}
-
-	g.respawning++
-	if g.met != nil {
-		g.met.faults.Inc()
-		g.met.respawning.Set(int64(g.respawning))
-	}
 	g.updateQueueGauges()
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer g.recoverBarrier("respawn")
-		g.respawn()
-	}()
 	g.cond.Broadcast()
 	g.mu.Unlock()
 
@@ -267,6 +248,31 @@ func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 	for _, q := range victims {
 		q.resp <- Response{Err: err}
 	}
+}
+
+// maxQuarantinedIDs bounds the quarantined replica ID history a
+// GroupSnapshot reports.
+const maxQuarantinedIDs = 32
+
+// faultLocked is the bookkeeping every replica fault shares, supervised or
+// not: drop the replica from the pool, count the fault, record its ID in
+// the bounded history, start the fault→first-served recovery clock and
+// start a background respawn. The caller holds g.mu.
+func (g *group) faultLocked(r *replica) {
+	g.dropReplicaLocked(r)
+	g.met.faults.Inc()
+	g.quarantinedIDs = append(g.quarantinedIDs, r.id)
+	if len(g.quarantinedIDs) > maxQuarantinedIDs {
+		g.quarantinedIDs = g.quarantinedIDs[len(g.quarantinedIDs)-maxQuarantinedIDs:]
+	}
+	g.lastFaultAt = time.Now()
+	g.met.respawning.Add(1)
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer g.recoverBarrier("respawn")
+		g.respawn()
+	}()
 }
 
 // cascadeLocked removes queued requests of st from the pending queue:
@@ -316,18 +322,12 @@ func (g *group) closedStreamQueuedLocked() []*request {
 func (g *group) respawn() {
 	a, err := core.New(g.algo, g.template.Clone(), g.acfg)
 	g.mu.Lock()
-	g.respawning--
-	if g.met != nil {
-		g.met.respawning.Set(int64(g.respawning))
-	}
+	g.met.respawning.Add(-1)
 	if err != nil || (g.closed && len(g.pending) == 0) {
 		g.mu.Unlock()
 		return
 	}
-	g.respawns++
-	if g.met != nil {
-		g.met.respawns.Inc()
-	}
+	g.met.respawns.Inc()
 	r := &replica{id: g.nextReplicaID, adapter: a}
 	g.nextReplicaID++
 	g.mu.Unlock()
@@ -361,20 +361,7 @@ func (g *group) recoverWorker(r *replica) {
 		return
 	}
 	g.mu.Lock()
-	g.dropReplicaLocked(r)
-	g.faults++
-	g.quarantinedIDs = append(g.quarantinedIDs, r.id)
-	g.respawning++
-	if g.met != nil {
-		g.met.faults.Inc()
-		g.met.respawning.Set(int64(g.respawning))
-	}
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer g.recoverBarrier("respawn")
-		g.respawn()
-	}()
+	g.faultLocked(r)
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	if tr := telemetry.ActiveTracer(); tr != nil {

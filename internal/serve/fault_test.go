@@ -209,7 +209,7 @@ func TestNumericGuardResetsPoisonedState(t *testing.T) {
 
 	var got [][]float32
 	for b, x := range inputs {
-		logits, err := st.Process(x)
+		logits, err := st.ProcessCtx(context.Background(), x)
 		if err != nil {
 			t.Fatalf("batch %d: %v (a numeric reset must not fail the request)", b, err)
 		}
@@ -457,9 +457,9 @@ func TestCloseDrainFailFastOnFault(t *testing.T) {
 
 	// A's request occupies the only replica (held at the injection gate);
 	// B's request queues behind it.
-	chA := stA.Submit(x)
+	chA := stA.SubmitCtx(context.Background(), x)
 	<-inj.entered
-	chB := stB.Submit(x)
+	chB := stB.SubmitCtx(context.Background(), x)
 
 	// B starts closing: drain-then-release blocks on its queued request.
 	closeDone := make(chan struct{})
@@ -504,7 +504,7 @@ func TestCloseDrainFailFastOnFault(t *testing.T) {
 	}
 
 	// The respawned replica serves A's retry.
-	chA2 := stA.Submit(x)
+	chA2 := stA.SubmitCtx(context.Background(), x)
 	select {
 	case <-inj.entered:
 	case <-time.After(10 * time.Second):
@@ -603,7 +603,7 @@ func TestFaultChurnRaces(t *testing.T) {
 				// quarantines and the autoscaler.
 				if i < 2 && b == batches/2 {
 					st.Close()
-					if _, err := st.Process(x); !errors.Is(err, ErrStreamClosed) {
+					if _, err := st.ProcessCtx(context.Background(), x); !errors.Is(err, ErrStreamClosed) {
 						t.Errorf("stream %d: post-Close err = %v, want ErrStreamClosed", i, err)
 					}
 					return
@@ -634,5 +634,42 @@ func TestFaultChurnRaces(t *testing.T) {
 	}
 	if s.Replicas < 1 {
 		t.Errorf("Replicas = %d after churn, want >= 1", s.Replicas)
+	}
+}
+
+// TestRecoverWorkerSharesFaultBookkeeping panics past the worker's
+// last-resort barrier more often than the quarantined-ID history holds.
+// Every panic must count as a fault, the history must stay bounded exactly
+// as a supervised quarantine's does, and the recovery clock must start.
+func TestRecoverWorkerSharesFaultBookkeeping(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	key, err := srv.AddGroup(testModel(), core.NoAdapt, core.Config{}, 1)
+	if err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	g := srvGroup(srv, key)
+	for i := 0; i < 40; i++ {
+		r := &replica{id: 1000 + i}
+		func() {
+			defer g.recoverWorker(r)
+			panic("x")
+		}()
+	}
+	s := pollSnapshot(t, srv, key, func(s GroupSnapshot) bool { return s.Respawning == 0 })
+	if s.Faults != 40 {
+		t.Errorf("Faults = %d, want 40", s.Faults)
+	}
+	if len(s.QuarantinedIDs) != 32 {
+		t.Fatalf("len(QuarantinedIDs) = %d, want 32 (bounded history)", len(s.QuarantinedIDs))
+	}
+	if first, last := s.QuarantinedIDs[0], s.QuarantinedIDs[31]; first != 1008 || last != 1039 {
+		t.Errorf("QuarantinedIDs span %d..%d, want the newest 1008..1039", first, last)
+	}
+	g.mu.Lock()
+	clock := g.lastFaultAt
+	g.mu.Unlock()
+	if clock.IsZero() {
+		t.Error("a worker panic did not start the fault→first-served recovery clock")
 	}
 }

@@ -11,9 +11,12 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// groupMetrics is a group's registered telemetry handles, nil when the
-// server was built without a Registry — every update site is a single nil
-// check in that case.
+// groupMetrics is a group's registered telemetry handles. Its counters are
+// the only record of the group's lifetime counts: every update happens
+// under the group mutex and the group's snapshot reads them back with
+// Value, so a Snapshot and /metrics can never disagree. The state gauges
+// are set wherever that state changes. Every group has them — when the
+// server has no Registry they live in a private one nobody scrapes.
 type groupMetrics struct {
 	queueDepth    *telemetry.Gauge   // current pending requests
 	pendingImages *telemetry.Gauge   // image total of the pending queue
@@ -107,7 +110,7 @@ type streamState struct {
 	// per-stream metrics, guarded by the group mutex.
 	requests int
 	images   int
-	e2e      core.LatencyHist
+	e2e      telemetry.Hist
 }
 
 // request is one pending SubmitCtx.
@@ -136,7 +139,7 @@ type Response struct {
 	// Logits holds one row of class scores per submitted image.
 	Logits *tensor.Tensor
 	Err    error
-	// QueueWait is the time from Submit to Process start; Service is the
+	// QueueWait is the time from SubmitCtx to Process start; Service is the
 	// Process call's duration (shared by every request coalesced into it).
 	QueueWait time.Duration
 	Service   time.Duration
@@ -186,46 +189,31 @@ type group struct {
 	store        *ckptStore
 	initialShape map[string]int
 
-	// aggregate metrics.
-	batches      int // Process calls
-	requests     int
-	images       int
-	coalesced    int // requests that shared a Process call with others
-	maxCoalesced int
-	shed         int // rejected at admission (AdmitShed)
-	canceled     int // canceled while queued
-	scaleUps     int
-	scaleDowns   int
-	// fault-domain accounting: faults counts replica quarantines,
-	// respawning the replacements still being cloned, respawns the
-	// completed ones; quarantinedIDs keeps the recent quarantined replica
-	// IDs for the health snapshot. numericResets counts numeric-guard
-	// source resets; ckptWrites/ckptFailures the checkpoint outcomes.
-	faults         int
-	respawning     int
-	respawns       int
+	// aggregate metrics not kept in met: the peak coalesced batch, the
+	// autoscaler's decisions, the recent quarantined replica IDs (bounded
+	// history for the health snapshot) and the checkpoint writes.
+	maxCoalesced   int
+	scaleUps       int
+	scaleDowns     int
 	quarantinedIDs []int
-	numericResets  int
 	ckptWrites     int
-	ckptFailures   int
 	// lastFaultAt, when set, starts the fault→first-served recovery clock;
 	// the next successful commit observes it into recoveryHist.
 	lastFaultAt  time.Time
-	recoveryHist *core.LatencyHist
+	recoveryHist *telemetry.Hist
 	// serviceEMA is a cheap running estimate of per-Process wall time,
 	// feeding the retry-after suggestion on shed (reading the histogram's
 	// Summary would sort the window under pressure).
 	serviceEMA time.Duration
-	batchHist  *core.LatencyHist // service time per Process call
-	e2eHist    *core.LatencyHist // submit-to-response time per request
+	batchHist  *telemetry.Hist // service time per Process call
+	e2eHist    *telemetry.Hist // submit-to-response time per request
 
 	// autoscale controller state (single ticker, see scaler.go).
 	upStreak, downStreak int
 	stopScale            chan struct{}
 	wg                   sync.WaitGroup
 
-	// met holds the group's registry handles; nil when the server was
-	// configured without a telemetry registry.
+	// met holds the group's counters and gauges (see groupMetrics).
 	met *groupMetrics
 }
 
@@ -238,9 +226,7 @@ func (g *group) openStream() *Stream {
 		st.state = g.initial
 	}
 	g.streams[st.id] = st
-	if g.met != nil {
-		g.met.openStreams.Set(int64(len(g.streams)))
-	}
+	g.met.openStreams.Set(int64(len(g.streams)))
 	return &Stream{g: g, st: st}
 }
 
@@ -277,9 +263,7 @@ func (g *group) closeStream(st *streamState) {
 		delete(g.names, st.name)
 	}
 	st.state = nil
-	if g.met != nil {
-		g.met.openStreams.Set(int64(len(g.streams)))
-	}
+	g.met.openStreams.Set(int64(len(g.streams)))
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	// An explicitly closed session ended its episode; its checkpoint is no
@@ -293,9 +277,7 @@ func (g *group) closeStream(st *streamState) {
 func (g *group) startReplica(r *replica) {
 	g.mu.Lock()
 	g.replicas = append(g.replicas, r)
-	if g.met != nil {
-		g.met.replicas.Set(int64(len(g.replicas) - g.retire))
-	}
+	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
 	g.mu.Unlock()
 	g.wg.Add(1)
 	go func() {
@@ -314,9 +296,7 @@ func (g *group) dropReplicaLocked(r *replica) {
 			break
 		}
 	}
-	if g.met != nil {
-		g.met.replicas.Set(int64(len(g.replicas) - g.retire))
-	}
+	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
 }
 
 // retryAfterLocked suggests a client backoff for a shed rejection: the
@@ -392,10 +372,7 @@ func (g *group) submit(ctx context.Context, st *streamState, x *tensor.Tensor, s
 		if g.cfg.Admission == AdmitShed {
 			depth := len(g.pending)
 			ra := g.retryAfterLocked(depth)
-			g.shed++
-			if g.met != nil {
-				g.met.shed.Inc()
-			}
+			g.met.shed.Inc()
 			victims := g.releaseSeqLocked(st, seq)
 			g.mu.Unlock()
 			g.failSequenceVictims(victims, seq)
@@ -550,10 +527,7 @@ func (g *group) cancelQueued(req *request) {
 	req.queued = false
 	g.pendingImages -= req.n
 	req.st.pending--
-	g.canceled++
-	if g.met != nil {
-		g.met.canceled.Inc()
-	}
+	g.met.canceled.Inc()
 	// A canceled sequenced request leaves a hole in the protocol order;
 	// later queued positions of the stream can never dispatch, so they are
 	// failed too and the reservation rolls back to accept a resubmit.
@@ -568,9 +542,6 @@ func (g *group) cancelQueued(req *request) {
 // updateQueueGauges publishes the queue's current shape. Callers hold
 // g.mu; the gauge writes are two atomic stores.
 func (g *group) updateQueueGauges() {
-	if g.met == nil {
-		return
-	}
 	g.met.queueDepth.Set(int64(len(g.pending)))
 	g.met.pendingImages.Set(int64(g.pendingImages))
 }
@@ -737,16 +708,16 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 	}
 
 	// Update metrics (and release the stream's in-flight slot) before
-	// delivering responses, so a client that calls Stats right after
+	// delivering responses, so a client that calls Snapshot right after
 	// receiving its response always sees its own request counted.
 	done := time.Now()
 	g.mu.Lock()
-	g.batches++
-	g.requests += len(reqs)
-	g.images += n
+	g.met.batches.Inc()
+	g.met.requests.Add(int64(len(reqs)))
+	g.met.images.Add(int64(n))
 	g.active--
 	if len(reqs) > 1 {
-		g.coalesced += len(reqs)
+		g.met.coalesced.Add(int64(len(reqs)))
 	}
 	if n > g.maxCoalesced {
 		g.maxCoalesced = n
@@ -756,34 +727,18 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 	} else {
 		g.serviceEMA += (service - g.serviceEMA) / 8
 	}
-	if res.resets > 0 {
-		g.numericResets += res.resets
-		if g.met != nil {
-			g.met.numericResets.Add(int64(res.resets))
-		}
-	}
+	g.met.numericResets.Add(int64(res.resets))
 	if ckptWrote {
 		g.ckptWrites++
 	}
 	if ckptFailed {
-		g.ckptFailures++
-		if g.met != nil {
-			g.met.ckptFailures.Inc()
-		}
+		g.met.ckptFailures.Inc()
 	}
 	if !g.lastFaultAt.IsZero() {
 		// First successful serve since the last replica fault: the group's
 		// fault→first-served recovery latency.
 		g.recoveryHist.Observe(done.Sub(g.lastFaultAt))
 		g.lastFaultAt = time.Time{}
-	}
-	if g.met != nil {
-		g.met.batches.Inc()
-		g.met.requests.Add(int64(len(reqs)))
-		g.met.images.Add(int64(n))
-		if len(reqs) > 1 {
-			g.met.coalesced.Add(int64(len(reqs)))
-		}
 	}
 	g.batchHist.Observe(service)
 	for _, req := range reqs {

@@ -137,6 +137,7 @@ func (g *group) scaleTick() int {
 		if len(g.replicas)-g.retire > a.Min {
 			g.retire++
 			g.scaleDowns++
+			g.met.replicas.Set(int64(len(g.replicas) - g.retire))
 			live--
 			// Wake an idle worker so it can retire promptly.
 			g.cond.Broadcast()
@@ -166,6 +167,7 @@ func (g *group) grow() error {
 	if g.retire > 0 {
 		g.retire--
 		g.scaleUps++
+		g.met.replicas.Set(int64(len(g.replicas) - g.retire))
 		g.mu.Unlock()
 		return nil
 	}

@@ -110,11 +110,15 @@ type Config struct {
 	// replica pool between Min and Max driven by queue depth and e2e p95
 	// latency, with hysteresis (see Autoscale's field docs).
 	Autoscale Autoscale
-	// Registry, when non-nil, receives each group's serving metrics
-	// (queue depth, pending images, open streams, replica count, lifetime
-	// request/image/batch/coalesced/shed/canceled counts, service and e2e
-	// latency histograms) labeled by group key. Nil disables metric
-	// publication entirely; every update site is then a single nil check.
+	// Registry, when non-nil, exports each group's serving metrics (queue
+	// depth, pending images, open streams, replica count, lifetime
+	// request/image/batch/coalesced/shed/canceled/fault counts, service,
+	// e2e and recovery latency histograms) labeled by group key. Those
+	// counters are the groups' only record of their counts — Snapshot
+	// reads them back — so a nil Registry gets a private one: the metrics
+	// are kept but not exported. A Registry serves one Server: metric
+	// constructors are idempotent per name and group label, so two servers
+	// sharing one would share, and double-report, each group's counters.
 	Registry *telemetry.Registry
 	// Watchdog bounds one adapter Process call. A replica that produces no
 	// result within the deadline is treated as wedged: it is quarantined
@@ -219,17 +223,19 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		names:        make(map[string]*streamState),
 		store:        s.store,
 		stopScale:    make(chan struct{}),
-		batchHist:    &core.LatencyHist{},
-		e2eHist:      &core.LatencyHist{},
-		recoveryHist: &core.LatencyHist{},
+		batchHist:    &telemetry.Hist{},
+		e2eHist:      &telemetry.Hist{},
+		recoveryHist: &telemetry.Hist{},
 	}
 	g.cond = sync.NewCond(&g.mu)
-	if reg := s.cfg.Registry; reg != nil {
-		g.met = newGroupMetrics(reg, key)
-		reg.RegisterHist("edgetta_serve_service_seconds", g.batchHist, "group", key.String())
-		reg.RegisterHist("edgetta_serve_e2e_seconds", g.e2eHist, "group", key.String())
-		reg.RegisterHist("edgetta_serve_recovery_seconds", g.recoveryHist, "group", key.String())
+	reg := s.cfg.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	g.met = newGroupMetrics(reg, key)
+	reg.RegisterHist("edgetta_serve_service_seconds", g.batchHist, "group", key.String())
+	reg.RegisterHist("edgetta_serve_e2e_seconds", g.e2eHist, "group", key.String())
+	reg.RegisterHist("edgetta_serve_recovery_seconds", g.recoveryHist, "group", key.String())
 	pool := make([]*replica, 0, replicas)
 	for i := 0; i < replicas; i++ {
 		a, err := core.New(algo, m.Clone(), acfg)

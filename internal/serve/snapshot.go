@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"edgetta/internal/core"
+	"edgetta/internal/telemetry"
 )
 
 // Snapshot is the server-wide stats payload: every group, sorted by key.
 // It is the one stable wire shape shared by the Go API (Server.Snapshot),
-// the HTTP front-end's /debug/streams handler and the load generator —
-// the former ad-hoc per-caller structs are aliases of its parts. Field
-// order is fixed by the struct, so the JSON encoding is deterministic.
+// the HTTP front-end's /debug/streams handler and the load generator.
+// Field order is fixed by the struct, so the JSON encoding is
+// deterministic.
 type Snapshot struct {
 	Groups []GroupSnapshot `json:"groups"`
 }
@@ -107,7 +108,7 @@ type LatencySnapshot struct {
 }
 
 // newLatencySnapshot copies a histogram summary into the wire shape.
-func newLatencySnapshot(s core.LatencySummary) LatencySnapshot {
+func newLatencySnapshot(s telemetry.Summary) LatencySnapshot {
 	return LatencySnapshot{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
 }
 
@@ -150,18 +151,6 @@ func (k *GroupKey) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Deprecated aliases: the pre-redesign names for the snapshot shapes.
-type (
-	// GroupStats is the old name of GroupSnapshot.
-	//
-	// Deprecated: use GroupSnapshot.
-	GroupStats = GroupSnapshot
-	// StreamStats is the old name of StreamSnapshot.
-	//
-	// Deprecated: use StreamSnapshot.
-	StreamStats = StreamSnapshot
-)
-
 // Snapshot snapshots every group, sorted by key — the payload behind the
 // HTTP front-end's /debug/streams endpoint.
 func (s *Server) Snapshot() Snapshot {
@@ -192,45 +181,37 @@ func (s *Server) GroupSnapshot(key GroupKey) (GroupSnapshot, error) {
 	return g.snapshot(), nil
 }
 
-// GroupStats reports a group's aggregate serving metrics.
-//
-// Deprecated: use GroupSnapshot, which this aliases.
-func (s *Server) GroupStats(key GroupKey) (GroupSnapshot, error) { return s.GroupSnapshot(key) }
-
-// Stats snapshots every group, sorted by key.
-//
-// Deprecated: use Snapshot, which this wraps.
-func (s *Server) Stats() []GroupSnapshot { return s.Snapshot().Groups }
-
-// snapshot snapshots the group. The group lock covers only the plain-field
-// copy; percentile computation (which sorts up to a full histogram window)
-// runs after release, against the internally locked histograms, so a slow
-// scrape never stalls the dispatch path.
+// snapshot snapshots the group. The group lock covers only the counter
+// and plain-field copy — every counter update also happens under it, so
+// the copy is a consistent cut; percentile computation (which sorts up to
+// a full histogram window) runs after release, against the internally
+// locked histograms, so a slow scrape never stalls the dispatch path.
 func (g *group) snapshot() GroupSnapshot {
 	g.mu.Lock()
+	m := g.met
 	s := GroupSnapshot{
 		Key:           g.key,
 		Replicas:      len(g.replicas) - g.retire,
 		Stateful:      g.stateful,
 		ScaleUps:      g.scaleUps,
 		ScaleDowns:    g.scaleDowns,
-		Batches:       g.batches,
-		Requests:      g.requests,
-		Images:        g.images,
-		Coalesced:     g.coalesced,
+		Batches:       int(m.batches.Value()),
+		Requests:      int(m.requests.Value()),
+		Images:        int(m.images.Value()),
+		Coalesced:     int(m.coalesced.Value()),
 		MaxCoalesced:  g.maxCoalesced,
-		Shed:          g.shed,
-		Canceled:      g.canceled,
+		Shed:          int(m.shed.Value()),
+		Canceled:      int(m.canceled.Value()),
 		QueueDepth:    len(g.pending),
 		PendingImages: g.pendingImages,
 		MaxQueueDepth: g.queueMax,
 
-		Faults:             g.faults,
-		Respawns:           g.respawns,
-		Respawning:         g.respawning,
-		NumericResets:      g.numericResets,
+		Faults:             int(m.faults.Value()),
+		Respawns:           int(m.respawns.Value()),
+		Respawning:         int(m.respawning.Value()),
+		NumericResets:      int(m.numericResets.Value()),
 		CheckpointWrites:   g.ckptWrites,
-		CheckpointFailures: g.ckptFailures,
+		CheckpointFailures: int(m.ckptFailures.Value()),
 	}
 	if len(g.quarantinedIDs) > 0 {
 		s.QuarantinedIDs = append([]int(nil), g.quarantinedIDs...)
@@ -240,7 +221,7 @@ func (g *group) snapshot() GroupSnapshot {
 	}
 	type streamRef struct {
 		ss  StreamSnapshot
-		e2e *core.LatencyHist
+		e2e *telemetry.Hist
 	}
 	refs := make([]streamRef, 0, len(g.streams))
 	for _, st := range g.streams {

@@ -88,22 +88,6 @@ func (s *Stream) ProcessCtx(ctx context.Context, x *tensor.Tensor) (*tensor.Tens
 	}
 }
 
-// Submit enqueues one batch with no cancellation or deadline.
-//
-// Deprecated: use SubmitCtx. Submit is SubmitCtx(context.Background(), x):
-// it blocks indefinitely on a full queue under AdmitBlock.
-func (s *Stream) Submit(x *tensor.Tensor) <-chan Response {
-	return s.SubmitCtx(context.Background(), x)
-}
-
-// Process is the synchronous form of Submit.
-//
-// Deprecated: use ProcessCtx.
-func (s *Stream) Process(x *tensor.Tensor) (*tensor.Tensor, error) {
-	r := <-s.Submit(x)
-	return r.Logits, r.Err
-}
-
 // Snapshot reports the stream's serving metrics so far. The group lock
 // covers only the counter copy; the percentile summary is computed
 // against the internally locked histogram after release.
@@ -120,11 +104,6 @@ func (s *Stream) Snapshot() StreamSnapshot {
 	ss.E2E = newLatencySnapshot(s.st.e2e.Summary())
 	return ss
 }
-
-// Stats reports the stream's serving metrics so far.
-//
-// Deprecated: use Snapshot, which this aliases.
-func (s *Stream) Stats() StreamSnapshot { return s.Snapshot() }
 
 // Close ends the episode with drain-then-release semantics: later submits
 // fail with ErrStreamClosed, requests already admitted are still served,
