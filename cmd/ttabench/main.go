@@ -102,15 +102,7 @@ func writeKernelTrace(path, tag string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := tr.WriteFile(path); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d events (%d dropped)\n", path, tr.Len(), tr.Dropped())

@@ -236,7 +236,7 @@ func main() {
 
 	if workloadTrace != nil {
 		telemetry.StopTracing()
-		if err := writeTrace(*traceOut, workloadTrace); err != nil {
+		if err := workloadTrace.WriteFile(*traceOut); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace:     %s (%d events, %d dropped)\n",
@@ -281,19 +281,6 @@ func buildMux(reg *telemetry.Registry, srv *serve.Server, hcfg httpapi.Config) *
 	mux.Handle("/debug/streams", api)
 	mux.Handle("/v1/", api)
 	return mux
-}
-
-// writeTrace dumps a finished tracer to path.
-func writeTrace(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -102,14 +102,7 @@ func main() {
 
 	if runTrace != nil {
 		telemetry.StopTracing()
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = runTrace.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := runTrace.WriteFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "ttatrain:", err)
 			os.Exit(1)
 		}

@@ -56,21 +56,6 @@ func (l *Linear) CloneLayer() Layer {
 // CloneLayer implements Cloner.
 func (p *GlobalAvgPool) CloneLayer() Layer { return &GlobalAvgPool{name: p.name} }
 
-// CloneLayer implements Cloner.
-func (p *AvgPool2d) CloneLayer() Layer { return &AvgPool2d{name: p.name, K: p.K} }
-
-// CloneLayer implements Cloner.
-func (p *MaxPool2d) CloneLayer() Layer { return &MaxPool2d{name: p.name, K: p.K} }
-
-// CloneLayer implements Cloner.
-func (f *Flatten) CloneLayer() Layer { return &Flatten{name: f.name} }
-
-// CloneLayer implements Cloner. The clone shares the original's RNG (a
-// rand.Rand source cannot be duplicated), so clones must not run training
-// forwards concurrently; at inference dropout is the identity and the RNG
-// is never touched. None of the study's models include Dropout.
-func (d *Dropout) CloneLayer() Layer { return &Dropout{name: d.name, P: d.P, rng: d.rng} }
-
 // CloneLayer implements Cloner. The immutable packed-weight caches are
 // shared with the clone (its version still matches the cloned Param), so
 // serving replicas of an unadapted model pay for one packed copy instead

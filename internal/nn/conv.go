@@ -178,7 +178,7 @@ func (c *Conv2d) forwardIm2Col(x, y *tensor.Tensor, n, h, w, outH, outW int) {
 // run the NC8HW8 microkernel over it in place with the weights weights()
 // returns and the cached offset table, and unpack the result into dst.
 // Both directions convolve with c.K and c.Stride (the input gradient runs
-// only for stride 1). When the profiler is active, layout conversion time
+// only for stride 1). When a tracer is active, layout conversion time
 // is credited to KindPack in the same direction (contained within this
 // layer's KindConv interval), so pack overhead stays attributable next to
 // compute.
@@ -225,7 +225,7 @@ func (c *Conv2d) runPacked(dst, src *tensor.Tensor, weights func() *tensor.Packe
 		}
 	})
 	if prof {
-		profAdd(KindPack, backward, time.Duration(packNanos.Load()).Seconds())
+		profAdd(KindPack, backward, time.Duration(packNanos.Load()))
 	}
 }
 

@@ -9,20 +9,22 @@ import (
 	"edgetta/internal/telemetry"
 )
 
-// This file implements the runtime profiler the study's methodology is
-// built on (the paper uses PyTorch's Autograd profiler the same way):
-// when enabled, every layer records the wall time of its Forward and
-// Backward calls, aggregated by layer kind. Disabled, the instrumentation
-// is a nil check per layer call.
+// This file implements the layer timing hooks the study's methodology is
+// built on (the paper uses PyTorch's Autograd profiler the same way).
+// There is one timing pipeline: the telemetry span tracer. While a tracer
+// is active (telemetry.StartTracing / EDGETTA_TRACE=1, or a profiling
+// window), every layer Forward/Backward becomes a Chrome trace-event span
+// named "<kind>.fw"/"<kind>.bw" with the layer name attached, and the
+// packed conv path's layout-conversion time appears as contained "pack"
+// spans annotated with the pool width. With no tracer the hooks cost one
+// atomic load per layer call. The clock is read only in this file (exempt
+// from ttalint's determinism scope by the *profiler* filename carve-out)
+// and in internal/telemetry.
 //
-// The same hooks feed the telemetry span tracer: while a tracer is active
-// (telemetry.StartTracing / EDGETTA_TRACE=1), every layer Forward/Backward
-// becomes a Chrome trace-event span named "<kind>.fw"/"<kind>.bw" with the
-// layer name attached, and the packed conv path's layout-conversion time
-// appears as contained "pack" spans annotated with the pool width. Either
-// consumer — aggregate profiler or tracer — turns the hooks on; both read
-// the clock only in this file (exempt from ttalint's determinism scope by
-// the *profiler* filename carve-out) and in internal/telemetry.
+// The per-kind PhaseTotals the profiler reports are not collected here:
+// the tracer folds every complete span into a per-(category, name) total,
+// and a profiling window (StartProfiling/StopProfiling) is the difference
+// of that fold's "nn" entries between the window's two ends.
 //
 // Attribution with the pooled scheduler: layers execute their parallel
 // loops fork-join through internal/parallel, and the join happens before
@@ -71,47 +73,82 @@ func sortedKinds(m map[Kind]float64) []Kind {
 	return kinds
 }
 
-type phaseCollector struct {
-	mu     sync.Mutex
-	totals PhaseTotals
+// profWindow is an open profiling window: the tracer it reads, that
+// tracer's span fold when the window opened, and whether the window
+// installed the tracer itself.
+type profWindow struct {
+	tr    *telemetry.Tracer
+	base  map[telemetry.SpanKey]telemetry.SpanTotal
+	owned bool
 }
 
 var (
-	profMu  sync.Mutex
-	profCur *phaseCollector
+	windowMu sync.Mutex
+	window   *profWindow
 )
 
-// StartProfiling begins collecting per-layer timings process-wide. It
-// returns false if a collection is already active.
+// StartProfiling opens a process-wide window over the layer timings. It
+// reads the active tracer, installing one that buffers no events if none
+// is active, so it works alongside EDGETTA_TRACE=1 or a running trace.
+// It returns false if a window is already open.
 func StartProfiling() bool {
-	profMu.Lock()
-	defer profMu.Unlock()
-	if profCur != nil {
+	windowMu.Lock()
+	defer windowMu.Unlock()
+	if window != nil {
 		return false
 	}
-	profCur = &phaseCollector{totals: PhaseTotals{
-		FwSeconds: map[Kind]float64{}, BwSeconds: map[Kind]float64{},
-		FwCalls: map[Kind]int{}, BwCalls: map[Kind]int{},
-	}}
+	w := &profWindow{}
+	for w.tr == nil {
+		if w.tr = telemetry.ActiveTracer(); w.tr == nil {
+			w.tr = telemetry.StartTracingLimit(1)
+			w.owned = w.tr != nil
+		}
+	}
+	w.base = w.tr.Totals()
+	window = w
 	return true
 }
 
-// StopProfiling ends collection and returns the totals. Calling it with no
-// active collection returns empty totals.
+// StopProfiling closes the window and returns the layer time recorded in
+// it, by kind and direction. It uninstalls the tracer only if
+// StartProfiling installed it. Calling it with no open window returns
+// empty totals.
 func StopProfiling() PhaseTotals {
-	profMu.Lock()
-	defer profMu.Unlock()
-	if profCur == nil {
+	windowMu.Lock()
+	defer windowMu.Unlock()
+	w := window
+	if w == nil {
 		return PhaseTotals{}
 	}
-	t := profCur.totals
-	profCur = nil
-	return t
+	window = nil
+	if w.owned && telemetry.ActiveTracer() == w.tr {
+		telemetry.StopTracing()
+	}
+	end := w.tr.Totals()
+	p := PhaseTotals{
+		FwSeconds: map[Kind]float64{}, BwSeconds: map[Kind]float64{},
+		FwCalls: map[Kind]int{}, BwCalls: map[Kind]int{},
+	}
+	for k := KindOther; k <= KindPack; k++ {
+		for _, backward := range []bool{false, true} {
+			key := telemetry.SpanKey{Cat: "nn", Name: spanName(k, backward)}
+			calls := int(end[key].Calls - w.base[key].Calls)
+			if calls == 0 {
+				continue
+			}
+			sec := time.Duration(end[key].Ns - w.base[key].Ns).Seconds()
+			if backward {
+				p.BwSeconds[k], p.BwCalls[k] = sec, calls
+			} else {
+				p.FwSeconds[k], p.FwCalls[k] = sec, calls
+			}
+		}
+	}
+	return p
 }
 
-// profStart returns the start time when any timing consumer (aggregate
-// profiler or span tracer) is active, else the zero time. Layers call it
-// at the top of Forward/Backward.
+// profStart returns the start time when a tracer is active, else the zero
+// time. Layers call it at the top of Forward/Backward.
 func profStart() time.Time {
 	if !profActive() {
 		return time.Time{}
@@ -119,18 +156,10 @@ func profStart() time.Time {
 	return time.Now()
 }
 
-// profActive reports whether any timing consumer is listening. Layers use
-// it to skip fine-grained sub-measurements (pack vs compute attribution)
-// when nobody is.
-func profActive() bool {
-	if telemetry.ActiveTracer() != nil {
-		return true
-	}
-	profMu.Lock()
-	active := profCur != nil
-	profMu.Unlock()
-	return active
-}
+// profActive reports whether a tracer is listening: one atomic load.
+// Layers use it to skip fine-grained sub-measurements (pack vs compute
+// attribution) when nobody is.
+func profActive() bool { return telemetry.ActiveTracer() != nil }
 
 // spanName renders a kind and direction as a trace span name.
 func spanName(kind Kind, backward bool) string {
@@ -140,63 +169,29 @@ func spanName(kind Kind, backward bool) string {
 	return kind.String() + ".fw"
 }
 
-// profAdd credits dt seconds to a kind directly, without a surrounding
-// interval. The conv layer uses it to attribute layout pack/unpack time
-// (KindPack) separately from kernel compute; the seconds are summed
-// across pool workers, so the split is exact at one worker and
-// CPU-time-like above. With a tracer active it also emits a span ending
-// now, annotated with the pool width the sum ran across.
-func profAdd(kind Kind, backward bool, dt float64) {
-	if dt == 0 {
+// profAdd records d against a kind directly, without a surrounding
+// interval, as a span ending now annotated with the pool width. The conv
+// layer uses it to attribute layout pack/unpack time (KindPack)
+// separately from kernel compute; d is summed across pool workers, so
+// the split is exact at one worker and CPU-time-like above.
+func profAdd(kind Kind, backward bool, d time.Duration) {
+	if d == 0 {
 		return
 	}
 	if tr := telemetry.ActiveTracer(); tr != nil {
-		d := time.Duration(dt * float64(time.Second))
 		tr.Complete("nn", spanName(kind, backward), 0, time.Now().Add(-d), d,
 			telemetry.Arg{Key: "workers", Value: parallel.Workers()})
 	}
-	profMu.Lock()
-	c := profCur
-	profMu.Unlock()
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if backward {
-		c.totals.BwSeconds[kind] += dt
-		c.totals.BwCalls[kind]++
-	} else {
-		c.totals.FwSeconds[kind] += dt
-		c.totals.FwCalls[kind]++
-	}
 }
 
-// profEnd records a completed phase against the aggregate totals and, when
-// a tracer is active, as a trace span carrying the layer's name.
+// profEnd records a completed layer phase as a trace span carrying the
+// layer's name.
 func profEnd(kind Kind, name string, backward bool, t0 time.Time) {
 	if t0.IsZero() {
 		return
 	}
-	dt := time.Since(t0)
 	if tr := telemetry.ActiveTracer(); tr != nil {
-		tr.Complete("nn", spanName(kind, backward), 0, t0, dt,
+		tr.Complete("nn", spanName(kind, backward), 0, t0, time.Since(t0),
 			telemetry.Arg{Key: "layer", Value: name})
-	}
-	profMu.Lock()
-	c := profCur
-	profMu.Unlock()
-	if c == nil {
-		return
-	}
-	sec := dt.Seconds()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if backward {
-		c.totals.BwSeconds[kind] += sec
-		c.totals.BwCalls[kind]++
-	} else {
-		c.totals.FwSeconds[kind] += sec
-		c.totals.FwCalls[kind]++
 	}
 }

@@ -2,10 +2,13 @@ package profile
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"edgetta/internal/core"
+	"edgetta/internal/models"
+	"edgetta/internal/nn"
 	"edgetta/internal/telemetry"
 )
 
@@ -56,5 +59,61 @@ func TestCaptureKernelTrace(t *testing.T) {
 	}
 	if _, ok := doc.Metadata["pool_workers"]; !ok {
 		t.Error("metadata missing pool_workers")
+	}
+}
+
+// TestEveryLeafLayerEmitsSpans: on each of the paper's four models, one
+// BN-Opt step emits a forward span naming every leaf layer, so the
+// per-layer breakdown has no blind spots.
+func TestEveryLeafLayerEmitsSpans(t *testing.T) {
+	prior := telemetry.StopTracing()
+	defer func() {
+		if prior != nil {
+			telemetry.StartTracing()
+		}
+	}()
+
+	for _, tag := range []string{"WRN-AM", "RXT-AM", "MBV2", "R18-AM-AT"} {
+		m, err := models.ByTag(tag, rand.New(rand.NewSource(1)), models.ReproScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := CaptureKernelTrace(m, core.BNOpt, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := tr.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Cat  string         `json:"cat"`
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+			t.Fatal(err)
+		}
+		traced := map[any]bool{}
+		for _, e := range doc.TraceEvents {
+			if e.Cat == "nn" && strings.HasSuffix(e.Name, ".fw") {
+				traced[e.Args["layer"]] = true
+			}
+		}
+		leaves := 0
+		nn.Walk(m.Net, func(l nn.Layer) {
+			if _, composite := l.(nn.Container); composite {
+				return
+			}
+			leaves++
+			if !traced[l.Name()] {
+				t.Errorf("%s: leaf layer %s (%T) emitted no forward span", tag, l.Name(), l)
+			}
+		})
+		if leaves == 0 {
+			t.Fatalf("%s: no leaf layers walked", tag)
+		}
 	}
 }

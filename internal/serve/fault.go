@@ -162,7 +162,7 @@ func (g *group) compute(r *replica, reqs []*request, prev core.AdapterState, don
 		if fault.Kind == FaultPoison {
 			res.state = poisonState(res.state)
 		}
-		if !g.cfg.DisableNumericGuard && !core.StateFinite(res.state) {
+		if !core.StateFinite(res.state) {
 			// Numeric-health guard: adaptation diverged (NaN/Inf in the BN
 			// tensors or optimizer moments). Serving from a poisoned state
 			// would corrupt every later batch of the stream, so hard-reset

@@ -128,11 +128,6 @@ type Config struct {
 	// Checkpoint tunes per-session adaptation-state checkpointing (see
 	// CheckpointConfig). The zero value disables it.
 	Checkpoint CheckpointConfig
-	// DisableNumericGuard turns off the post-Process NaN/Inf scan of
-	// stateful adaptation state. The guard is on by default: a poisoned
-	// state is reset to the episode-start snapshot instead of being
-	// committed, counted as a numeric reset in the snapshot and telemetry.
-	DisableNumericGuard bool
 	// Injector, when non-nil, is consulted before every Process call and
 	// checkpoint write — the seeded chaos hook (see FaultInjector and
 	// internal/serve/chaos). Nil injects nothing. Production servers leave

@@ -3,6 +3,10 @@
 // histograms) with Prometheus-text and JSON exposition, and a span tracer
 // that exports Chrome trace-event JSON (chrome://tracing, Perfetto).
 //
+// The tracer is the one timing pipeline: besides buffering events it folds
+// every complete span into a per-(category, name) total (Tracer.Totals),
+// and the nn layer profiler's PhaseTotals are read from that fold.
+//
 // Design constraints, in order:
 //
 //  1. Disabled must be free. Every instrumentation site in the hot paths

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,15 +23,16 @@ func MetricsHandler(r *Registry) http.Handler {
 }
 
 // TraceHandler records a trace for ?sec= seconds (default 1, max 60) and
-// streams the Chrome trace-event JSON back. Responds 409 Conflict if a
-// trace is already being collected (only one tracer may be active per
-// process).
+// streams the Chrome trace-event JSON back. A sec that is not a positive
+// finite number is rejected with 400. Responds 409 Conflict if a trace is
+// already being collected (only one tracer may be active per process;
+// an open nn profiling window with no trace running holds one too).
 func TraceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		sec := 1.0
 		if q := req.URL.Query().Get("sec"); q != "" {
 			v, err := strconv.ParseFloat(q, 64)
-			if err != nil || v <= 0 {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 				http.Error(w, "trace: bad sec parameter", http.StatusBadRequest)
 				return
 			}

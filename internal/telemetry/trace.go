@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strings"
 	"sync"
@@ -14,9 +15,9 @@ import (
 // The span tracer records timed events into an in-memory buffer and writes
 // them as Chrome trace-event JSON (the "trace event format" consumed by
 // chrome://tracing and Perfetto). One tracer is active per process at a
-// time, installed by StartTracing and read through ActiveTracer — the same
-// shape as the nn layer profiler, because the nn profiler hooks are the
-// tracer's main event source.
+// time, installed by StartTracing and read through ActiveTracer. The nn
+// layer hooks are the tracer's main event source, and the nn profiler's
+// per-kind totals are a window over the tracer's span fold (Totals).
 //
 // The disabled path is a single atomic pointer load: instrumentation
 // sites write
@@ -54,6 +55,18 @@ type event struct {
 	args      []Arg
 }
 
+// SpanKey names a family of complete spans: the category and name they
+// were recorded under.
+type SpanKey struct{ Cat, Name string }
+
+// SpanTotal is the fold of every complete span under one SpanKey: summed
+// duration in integer nanoseconds (so differences between two readings
+// are exact) and the number of spans.
+type SpanTotal struct {
+	Ns    int64
+	Calls int64
+}
+
 // Tracer collects trace events. Safe for concurrent use.
 type Tracer struct {
 	mu      sync.Mutex
@@ -62,6 +75,7 @@ type Tracer struct {
 	events  []event
 	dropped int
 	meta    []Arg
+	totals  map[SpanKey]SpanTotal
 }
 
 // active is the process-wide tracer instrumentation sites consult.
@@ -86,7 +100,7 @@ func StartTracingLimit(maxEvents int) *Tracer {
 	if maxEvents <= 0 {
 		maxEvents = DefaultTraceEvents
 	}
-	t := &Tracer{epoch: time.Now(), max: maxEvents}
+	t := &Tracer{epoch: time.Now(), max: maxEvents, totals: map[SpanKey]SpanTotal{}}
 	if !active.CompareAndSwap(nil, t) {
 		return nil
 	}
@@ -110,9 +124,18 @@ func (t *Tracer) SetMeta(key string, value any) {
 	t.mu.Unlock()
 }
 
-// add appends one event, honoring the bound.
+// add folds a complete span into its per-(category, name) total, then
+// appends the event, honoring the bound. The fold comes first, so totals
+// stay exact after the bound starts dropping events.
 func (t *Tracer) add(e event) {
 	t.mu.Lock()
+	if e.ph == 'X' {
+		k := SpanKey{e.cat, e.name}
+		tot := t.totals[k]
+		tot.Ns += e.durNs
+		tot.Calls++
+		t.totals[k] = tot
+	}
 	if len(t.events) >= t.max {
 		t.dropped++
 		t.mu.Unlock()
@@ -166,6 +189,14 @@ func (t *Tracer) Dropped() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
+}
+
+// Totals returns a copy of the fold of every complete span recorded so
+// far, including spans the bound dropped from the event buffer.
+func (t *Tracer) Totals() map[SpanKey]SpanTotal {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return maps.Clone(t.totals)
 }
 
 // writeArgs renders an ordered Arg list as a JSON object.
@@ -222,4 +253,18 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// WriteFile writes the trace to path as Chrome trace-event JSON (see
+// WriteJSON), creating or truncating the file.
+func (t *Tracer) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

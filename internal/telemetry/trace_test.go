@@ -117,6 +117,31 @@ func TestTracerBounded(t *testing.T) {
 	}
 }
 
+// TestTracerFoldsPastBound: the span fold counts every complete span,
+// including the ones the event bound drops, and Totals is a copy.
+func TestTracerFoldsPastBound(t *testing.T) {
+	clearTracer()
+	tr := StartTracingLimit(8)
+	start := time.Now()
+	for i := 0; i < 20; i++ {
+		tr.Complete("nn", "conv.fw", 0, start, time.Duration(i+1)*time.Microsecond)
+	}
+	if tr.Len() != 8 || tr.Dropped() != 12 {
+		t.Fatalf("Len %d Dropped %d, want 8 and 12", tr.Len(), tr.Dropped())
+	}
+	tr.Instant("nn", "conv.fw", 0) // instants are not folded
+	StopTracing()
+	totals := tr.Totals()
+	want := SpanTotal{Ns: 210 * int64(time.Microsecond), Calls: 20}
+	if got := totals[SpanKey{"nn", "conv.fw"}]; got != want || len(totals) != 1 {
+		t.Fatalf("Totals = %v, want only nn/conv.fw = %+v", totals, want)
+	}
+	totals[SpanKey{"nn", "conv.fw"}] = SpanTotal{}
+	if tr.Totals()[SpanKey{"nn", "conv.fw"}] != want {
+		t.Fatal("Totals returned the tracer's own map, not a copy")
+	}
+}
+
 // BenchmarkTracerDisabled pins the disabled fast path: one atomic load and
 // a nil check, no allocation.
 func BenchmarkTracerDisabled(b *testing.B) {

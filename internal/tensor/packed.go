@@ -20,9 +20,6 @@ import (
 // register of float32s.
 const packLanes = 8
 
-// PackLanes returns the channel-block width of the packed layout.
-func PackLanes() int { return packLanes }
-
 // packedDisabled flips the conv dispatch back to the im2col path
 // (EDGETTA_PACKED=0, or SetPacked(false)); the default is enabled.
 var packedDisabled atomic.Bool
