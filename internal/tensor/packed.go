@@ -61,6 +61,12 @@ func FMAEnabled() bool { return fmaActive.Load() }
 // all (amd64 with AVX2+FMA).
 func FMASupported() bool { return fmaHW() }
 
+// AVX2Supported reports whether this build and CPU dispatch to the AVX2
+// kernels. Kernels whose vector and scalar paths reduce in different
+// orders (dot) give bits that differ from the scalar build, so recorded
+// model outputs are only comparable between builds that agree on this.
+func AVX2Supported() bool { return avx2HW() }
+
 func init() {
 	if v := os.Getenv("EDGETTA_PACKED"); v == "0" || v == "false" {
 		packedDisabled.Store(true)

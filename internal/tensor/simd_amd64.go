@@ -39,6 +39,9 @@ var hasAVX2, hasFMA = func() (bool, bool) {
 	return b7&avx2 != 0, b7&avx2 != 0 && c1&fma != 0
 }()
 
+// avx2HW reports whether the AVX2 kernels are dispatched.
+func avx2HW() bool { return hasAVX2 }
+
 // fmaHW reports whether this build has a fused-multiply-add conv kernel
 // the FMA opt-in can dispatch to.
 func fmaHW() bool { return hasFMA }

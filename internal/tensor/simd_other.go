@@ -20,6 +20,10 @@ func dot(x, y []float32) float32 {
 	return dotGeneric(x, y)
 }
 
+// avx2HW reports whether the AVX2 kernels are dispatched; only amd64
+// has them.
+func avx2HW() bool { return false }
+
 // fmaHW reports whether this build has a fused-multiply-add conv kernel;
 // only amd64 does.
 func fmaHW() bool { return false }
