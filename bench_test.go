@@ -241,6 +241,48 @@ func BenchmarkBatchNormTrainForward(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchNormTrainBackward is the batch-statistics BN backward
+// pass (γ/β sums plus the input gradient) on the forward's shape.
+func BenchmarkBatchNormTrainBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	bn := nn.NewBatchNorm2d("bn", 64)
+	x := tensor.New(50, 64, 16, 16)
+	x.Randn(rng, 1)
+	grad := tensor.New(50, 64, 16, 16)
+	grad.Randn(rng, 1)
+	bn.Forward(x, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bn.Backward(grad)
+	}
+}
+
+// BenchmarkReLUForward and BenchmarkReLUBackward time the rectifier on a
+// 50×64×16×16 activation with half its inputs negative.
+func BenchmarkReLUForward(b *testing.B) {
+	r := nn.NewReLU("relu")
+	x := tensor.New(50, 64, 16, 16)
+	x.Randn(rand.New(rand.NewSource(1)), 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Forward(x, true)
+	}
+}
+
+func BenchmarkReLUBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r := nn.NewReLU("relu")
+	x := tensor.New(50, 64, 16, 16)
+	x.Randn(rng, 1)
+	grad := tensor.New(50, 64, 16, 16)
+	grad.Randn(rng, 1)
+	r.Forward(x, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Backward(grad)
+	}
+}
+
 func BenchmarkMatMul256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(256, 256)

@@ -2,6 +2,7 @@ package models
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"edgetta/internal/nn"
@@ -83,8 +84,52 @@ func TestCloneSharesNoBackingArrays(t *testing.T) {
 					}
 				}
 			}
+
+			// Forward caches are not cloned: a clone of a model that has
+			// run a batch starts with no saved ReLU output, and the outputs
+			// it saves on its own batch are its own.
+			m.Forward(x, true)
+			c2 := m.Clone()
+			ro := reluOutputs(t, m)
+			for i, out := range reluOutputs(t, c2) {
+				if out != nil {
+					t.Fatalf("ReLU %d of the clone starts with a saved output", i)
+				}
+			}
+			c2.Forward(x, true)
+			for i, out := range reluOutputs(t, c2) {
+				if out == nil || ro[i] == nil {
+					t.Fatalf("ReLU %d kept no output after a forward pass", i)
+				}
+				if out == ro[i] || &out.Data[0] == &ro[i].Data[0] {
+					t.Fatalf("ReLU %d of the clone shares the original's saved output", i)
+				}
+			}
 		})
 	}
+}
+
+// reluOutputs returns the saved forward output of every ReLU in the model,
+// in walk order. The field is unexported; reflection reads it so the test
+// needs no accessor in the nn API.
+func reluOutputs(t *testing.T, m *Model) []*tensor.Tensor {
+	t.Helper()
+	var outs []*tensor.Tensor
+	nn.Walk(m.Net, func(l nn.Layer) {
+		r, ok := l.(*nn.ReLU)
+		if !ok {
+			return
+		}
+		f := reflect.ValueOf(r).Elem().FieldByName("out")
+		if !f.IsValid() || f.Type() != reflect.TypeOf((*tensor.Tensor)(nil)) {
+			t.Fatal("nn.ReLU has no saved-output field out *tensor.Tensor")
+		}
+		outs = append(outs, (*tensor.Tensor)(f.UnsafePointer()))
+	})
+	if len(outs) == 0 {
+		t.Fatal("model has no ReLU")
+	}
+	return outs
 }
 
 // TestCloneParamNamesAndStructure checks the clone exposes the same

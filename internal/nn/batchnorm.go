@@ -96,30 +96,18 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	y := tensor.New(x.Shape()...)
+	stride := b.C * plane // from one image's plane of a channel to the next
 	// parallel.For schedules at grain 1: each channel's statistics pass is
 	// heavy (two sweeps over n·plane values), so even a 16-channel layer
 	// spreads across the pool rather than serializing as it did when the
 	// worker count was derived from n/64.
 	parallel.For(b.C, func(c int) {
 		var mean, varv float32
+		xc := x.Data[c*plane:]
 		if b.batchMode {
 			// Two-pass mean/variance over the batch for this channel.
-			s := float64(0)
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					s += float64(x.Data[base+i])
-				}
-			}
-			mean = float32(s / float64(cnt))
-			s2 := float64(0)
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					d := float64(x.Data[base+i] - mean)
-					s2 += d * d
-				}
-			}
+			mean = float32(tensor.ChannelSum(xc, n, stride, plane) / float64(cnt))
+			s2 := tensor.ChannelSqDev(xc, mean, n, stride, plane)
 			varv = float32(s2 / float64(cnt)) // biased, as PyTorch normalizes
 			// Running stats use the unbiased estimate, as PyTorch does.
 			unbiased := varv
@@ -139,13 +127,9 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		inv := float32(1.0 / math.Sqrt(float64(varv)+float64(b.Eps)))
 		b.invStd[c] = inv
 		g, bt := b.Gamma.Data[c], b.Beta.Data[c]
-		for img := 0; img < n; img++ {
-			base := (img*b.C + c) * plane
-			for i := 0; i < plane; i++ {
-				xh := (x.Data[base+i] - mean) * inv
-				b.xhat[base+i] = xh
-				y.Data[base+i] = g*xh + bt
-			}
+		for base := c * plane; base < len(x.Data); base += stride {
+			tensor.BNNormalize(y.Data[base:base+plane], b.xhat[base:base+plane],
+				x.Data[base:base+plane], mean, inv, g, bt)
 		}
 	})
 
@@ -171,38 +155,23 @@ func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	cnt := float32(n * plane)
 	dx := tensor.New(n, b.C, h, w)
 
+	stride := b.C * plane
 	parallel.For(b.C, func(c int) {
-		var sumDy, sumDyXhat float64
-		for img := 0; img < n; img++ {
-			base := (img*b.C + c) * plane
-			for i := 0; i < plane; i++ {
-				dy := float64(grad.Data[base+i])
-				sumDy += dy
-				sumDyXhat += dy * float64(b.xhat[base+i])
-			}
-		}
+		sumDy, sumDyXhat := tensor.ChannelDyXh(grad.Data[c*plane:], b.xhat[c*plane:], n, stride, plane)
 		if !b.Beta.Frozen {
 			b.Beta.Grad[c] += float32(sumDy)
 		}
 		if !b.Gamma.Frozen {
 			b.Gamma.Grad[c] += float32(sumDyXhat)
 		}
-		g, inv := b.Gamma.Data[c], b.invStd[c]
-		if b.statsVary {
-			mDy, mDyXhat := float32(sumDy)/cnt, float32(sumDyXhat)/cnt
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					dy := grad.Data[base+i]
-					dx.Data[base+i] = g * inv * (dy - mDy - b.xhat[base+i]*mDyXhat)
-				}
-			}
-		} else {
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					dx.Data[base+i] = g * inv * grad.Data[base+i]
-				}
+		k := b.Gamma.Data[c] * b.invStd[c]
+		mDy, mDyXhat := float32(sumDy)/cnt, float32(sumDyXhat)/cnt
+		for base := c * plane; base < len(dx.Data); base += stride {
+			span := dx.Data[base : base+plane]
+			if b.statsVary {
+				tensor.BNApply(span, grad.Data[base:base+plane], b.xhat[base:base+plane], k, mDy, mDyXhat)
+			} else {
+				tensor.Scale(span, grad.Data[base:base+plane], k)
 			}
 		}
 	})

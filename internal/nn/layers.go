@@ -10,9 +10,12 @@ import (
 // ReLU is max(0, x); with a positive Cap it becomes ReLU6-style clamping
 // (used by MobileNetV2).
 type ReLU struct {
-	name     string
-	Cap      float32 // 0 means uncapped
-	mask     []bool
+	name string
+	Cap  float32 // 0 means uncapped
+	// out is the last forward output. Backward gates on it: an element
+	// passed the rectifier exactly when 0 < out (and out < Cap), so no
+	// separate mask is kept. Nothing may write to a ReLU's output in place.
+	out      *tensor.Tensor
 	lastSpec Spec
 }
 
@@ -35,20 +38,9 @@ func (r *ReLU) Spec() Spec { return r.lastSpec }
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t0 := profStart()
 	defer profEnd(KindAct, r.name, false, t0)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
 	y := tensor.New(x.Shape()...)
-	for i, v := range x.Data {
-		pass := v > 0 && (r.Cap == 0 || v < r.Cap)
-		r.mask[i] = pass
-		if pass {
-			y.Data[i] = v
-		} else if r.Cap != 0 && v >= r.Cap {
-			y.Data[i] = r.Cap
-		}
-	}
+	tensor.ReLU(y.Data, x.Data, r.Cap)
+	r.out = y
 	r.lastSpec = Spec{Kind: KindAct, LayerName: r.name, OutElems: int64(x.Numel()),
 		SavedElems: int64(x.Numel()), Batch: int64(x.Dim(0))}
 	return y
@@ -59,11 +51,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t0 := profStart()
 	defer profEnd(KindAct, r.name, true, t0)
 	dx := tensor.New(grad.Shape()...)
-	for i, g := range grad.Data {
-		if r.mask[i] {
-			dx.Data[i] = g
-		}
-	}
+	tensor.ReLUGate(dx.Data, grad.Data, r.out.Data, r.Cap)
 	return dx
 }
 

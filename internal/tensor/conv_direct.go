@@ -69,7 +69,8 @@ func ConvPackedForward(yp, xp []float32, w *PackedWeights, xoff []int32, hout, w
 // convPackedSpanGeneric is the portable span kernel: npix output pixels of
 // one row, all 8 output-channel lanes of one block. It is the reference
 // the assembly kernels must match bit for bit (same ascending-row order,
-// one rounded multiply plus one rounded add per step).
+// one rounded multiply plus one rounded add per step; the float32
+// conversions stop compilers that fuse x*y+z from merging the two).
 func convPackedSpanGeneric(y, x, w []float32, xoff []int32, rows, pixStride, npix int) {
 	for p := 0; p < npix; p++ {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float32
@@ -78,14 +79,14 @@ func convPackedSpanGeneric(y, x, w []float32, xoff []int32, rows, pixStride, npi
 		for _, off := range xoff[:rows] {
 			xv := x[base+int(off)]
 			w8 := w[wi : wi+8 : wi+8]
-			a0 += xv * w8[0]
-			a1 += xv * w8[1]
-			a2 += xv * w8[2]
-			a3 += xv * w8[3]
-			a4 += xv * w8[4]
-			a5 += xv * w8[5]
-			a6 += xv * w8[6]
-			a7 += xv * w8[7]
+			a0 += float32(xv * w8[0])
+			a1 += float32(xv * w8[1])
+			a2 += float32(xv * w8[2])
+			a3 += float32(xv * w8[3])
+			a4 += float32(xv * w8[4])
+			a5 += float32(xv * w8[5])
+			a6 += float32(xv * w8[6])
+			a7 += float32(xv * w8[7])
 			wi += 8
 		}
 		out := y[p*8 : p*8+8 : p*8+8]

@@ -34,3 +34,43 @@ func convPackedSpan(y, x, w []float32, xoff []int32, rows, pixStride, npix int) 
 	}
 	convPackedSpanGeneric(y, x, w, xoff, rows, pixStride, npix)
 }
+
+func reluSpan(y, x []float32, cap float32) {
+	if len(x) > 0 {
+		reluGeneric(y, x, cap)
+	}
+}
+
+func reluGateSpan(dx, dy, y []float32) {
+	if len(y) > 0 {
+		reluGateGeneric(dx, dy, y)
+	}
+}
+
+func reluCapGateSpan(dx, dy, y []float32, cap float32) {
+	if len(y) > 0 {
+		reluCapGateGeneric(dx, dy, y, cap)
+	}
+}
+
+func bnNormSpan(y, xh, x []float32, mean, inv, gamma, beta float32) {
+	if len(x) > 0 {
+		bnNormGeneric(y, xh, x, mean, inv, gamma, beta)
+	}
+}
+
+func bnApplySpan(dx, dy, xh []float32, k, mDy, mDyXh float32) {
+	if len(dy) > 0 {
+		bnApplyGeneric(dx, dy, xh, k, mDy, mDyXh)
+	}
+}
+
+func sumSpan(acc *[bnLanes]float64, x []float32) { sumSpanGeneric(acc, x) }
+
+func sqDevSpan(acc *[bnLanes]float64, x []float32, mean float32) {
+	sqDevSpanGeneric(acc, x, mean)
+}
+
+func dyXhSpan(accDy, accDyXh *[bnLanes]float64, dy, xh []float32) {
+	dyXhSpanGeneric(accDy, accDyXh, dy, xh)
+}

@@ -26,7 +26,7 @@ OUT="${1:?usage: scripts/bench.sh out.json}"
 WORKERS="${EDGETTA_WORKERS:-1}"
 COUNT="${BENCH_COUNT:-3}"
 TIME="${BENCH_TIME:-5x}"
-PATTERN='^(BenchmarkConv3x3Forward|BenchmarkConv3x3ForwardIm2Col|BenchmarkConv3x3ForwardFMA|BenchmarkConv3x3Backward|BenchmarkConv1x1Forward|BenchmarkMatMul256|BenchmarkFullScaleWRNForward|BenchmarkFullScaleWRNForwardTraced|BenchmarkInferenceRepro|BenchmarkBNNormRepro|BenchmarkBNOptRepro|BenchmarkScenarioStream)$'
+PATTERN='^(BenchmarkConv3x3Forward|BenchmarkConv3x3ForwardIm2Col|BenchmarkConv3x3ForwardFMA|BenchmarkConv3x3Backward|BenchmarkConv1x1Forward|BenchmarkMatMul256|BenchmarkBatchNormTrainForward|BenchmarkBatchNormTrainBackward|BenchmarkReLUForward|BenchmarkReLUBackward|BenchmarkFullScaleWRNForward|BenchmarkFullScaleWRNForwardTraced|BenchmarkInferenceRepro|BenchmarkBNNormRepro|BenchmarkBNOptRepro|BenchmarkScenarioStream)$'
 
 CURVE="${SERVE_CURVE:-1,2,4,8}"
 CURVE_SAMPLES="${SERVE_SAMPLES:-48}"
